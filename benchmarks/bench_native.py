@@ -18,6 +18,10 @@ Python setup dilutes the wall ratio identically across legs.  Targets at
 full scale: batched kernel ≥2x over the scalar C kernel, and ≥3x
 wall-clock over NumPy (measured ~13x).
 
+The run also records the cold build of the headline kernel: its emitted
+C size (``c_bytes``) and the seconds one compile into an empty artifact
+cache takes (``cold_build_s``).  Neither is gated.
+
 A further leg checks the GIL-release contract: with ≥2 cores, the thread
 scheduler over the native kernel must beat sequential native execution
 (cffi calls drop the GIL, so worker threads genuinely overlap).  On
@@ -35,12 +39,16 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import time
+from unittest import mock
 
 import pytest
 from bench_probe import N_STRANDS, probe_source, smooth_image
 from conftest import SCALE, append_history, measure, record
 
 from repro.core.codegen import cbuild
+from repro.core.codegen.cgen import generate_c_module
 from repro.core.driver import compile_program
 from repro.obs import metrics as _mx
 
@@ -93,6 +101,17 @@ def _kernel_seconds(prog) -> float:
     return best
 
 
+def _cold_build() -> tuple[int, float]:
+    """(emitted C bytes, seconds of one cold build) for the headline
+    kernel, compiled into a fresh artifact cache so the compiler runs."""
+    c_source, _ = generate_c_module(_headline_prog().high)
+    with tempfile.TemporaryDirectory() as cache, \
+            mock.patch.dict(os.environ, {"REPRO_CGEN_CACHE": cache}):
+        t0 = time.perf_counter()
+        cbuild.build(c_source, flags=cbuild.flags_for(False))
+        return len(c_source), time.perf_counter() - t0
+
+
 def test_native_single_core_speedup(benchmark):
     prog = _headline_prog()
     prog_scalar = _scalar_prog()
@@ -105,6 +124,7 @@ def test_native_single_core_speedup(benchmark):
     k_scalar = _kernel_seconds(prog_scalar)
     k_c = _kernel_seconds(prog)
     k_single = _kernel_seconds(prog_single)
+    c_bytes, cold_build_s = _cold_build()
 
     speedup = t_numpy / t_c
     batch_wall = t_scalar / t_c
@@ -123,6 +143,7 @@ def test_native_single_core_speedup(benchmark):
           f"(kernel {k_single * 1e3:.2f}ms)")
     print(f"  batched vs scalar: {batch_kernel:.2f}x kernel, "
           f"{batch_wall:.2f}x wall")
+    print(f"  cold build: {c_bytes} bytes of C, {cold_build_s:.2f}s")
 
     # Full-scale targets: ≥3x over NumPy (ISSUE 7) and a ≥2x kernel-time
     # win for the batched SIMD kernel over the scalar C kernel (ISSUE 8).
@@ -149,6 +170,8 @@ def test_native_single_core_speedup(benchmark):
         "batch_speedup": batch_wall,
         "batch_kernel_speedup": batch_kernel,
         "single_kernel_speedup": k_scalar / k_single,
+        "c_bytes": c_bytes,
+        "cold_build_s": cold_build_s,
     }
 
     # thread scaling leg: seq+C vs thread+C, only meaningful with >1 core

@@ -527,15 +527,15 @@ class _Emitter:
     # -- lane-loop helpers --------------------------------------------------
 
     def lane_stmt(self, stmt: str, simd: bool = True) -> None:
-        """One lane loop ``for (_l = 0; _l < _n; _l++) stmt``."""
+        """One lane loop ``for (_l = 0; _l < DD_VB; _l++) stmt``."""
         if simd and self.vb > 1:
             self.emit("DD_SIMD")
-        self.emit(f"for (int _l = 0; _l < _n; _l++) {stmt}")
+        self.emit(f"for (int _l = 0; _l < DD_VB; _l++) {stmt}")
 
     def lane_open(self, simd: bool = True) -> None:
         if simd and self.vb > 1:
             self.emit("DD_SIMD")
-        self.emit("for (int _l = 0; _l < _n; _l++) {")
+        self.emit("for (int _l = 0; _l < DD_VB; _l++) {")
         self.indent += 1
 
     def lane_close(self) -> None:
@@ -1934,23 +1934,26 @@ class _Emitter:
     # -- batch body -----------------------------------------------------------
 
     def _emit_batch_body(self) -> None:
-        """The per-batch strand update over lanes ``_k0 .. _k0 + _n``.
+        """The per-batch strand update over lanes ``_k0 .. _k0 + DD_VB``.
 
-        Emitted once and spliced twice by ``generate`` — into the main loop
-        (where ``_n`` is the constant ``DD_VB``, so every lane loop has a
-        compile-time trip count) and into the tail-batch block."""
+        Every lane loop has the compile-time trip count ``DD_VB``.  A short
+        last batch is padded: lanes past ``end`` are clamped to lane
+        ``end - 1``, so they recompute that live strand from the same
+        inputs and write back the same values and status.  This is sound
+        because every state load precedes every writeback, the padded
+        lanes cannot raise a status the live lane does not, and the clamp
+        keeps the batch inside the caller's ``[start, end)``."""
         func = self.func
         n_globals = self.plan["n_globals"]
         n_state = self.plan["n_state"]
 
         self.emit("int64_t _lane[DD_VB];")
+        self.lane_stmt(
+            "_lane[_l] = _k0 + _l < end ? _k0 + _l : end - 1;", simd=False
+        )
         self.emit("if (idx) {")
         self.indent += 1
-        self.lane_stmt("_lane[_l] = idx[_k0 + _l];", simd=False)
-        self.indent -= 1
-        self.emit("} else {")
-        self.indent += 1
-        self.lane_stmt("_lane[_l] = _k0 + _l;", simd=False)
+        self.lane_stmt("_lane[_l] = idx[_lane[_l]];", simd=False)
         self.indent -= 1
         self.emit("}")
 
@@ -2120,27 +2123,14 @@ class _Emitter:
             else:
                 self.fail(f"unsupported global type {ty!r}")
 
-        # hoisted constants + zero-init marking, then capture the batch body
-        # once and splice it into the main loop and the tail block
+        # hoisted constants + zero-init marking, then the batch loop
         self._declare_consts(func.body)
         self._collect_phi_operands(func.body)
 
-        saved = self.lines
-        self.lines = []
-        self.indent = 2
+        self.emit("for (int64_t _k0 = start; _k0 < end; _k0 += DD_VB) {")
+        self.indent += 1
         self._emit_batch_body()
-        body_lines = self.lines
-        self.lines = saved
-        self.indent = 1
-
-        self.emit("int64_t _k0;")
-        self.emit("for (_k0 = start; _k0 + DD_VB <= end; _k0 += DD_VB) {")
-        self.emit("    const int _n = DD_VB;")
-        self.lines.extend(body_lines)
-        self.emit("}")
-        self.emit("if (_k0 < end) {")
-        self.emit("    const int _n = (int)(end - _k0);")
-        self.lines.extend(body_lines)
+        self.indent -= 1
         self.emit("}")
         self.emit("return 0;")
 
@@ -2168,7 +2158,7 @@ def generate_c_module(
     ``extra_state`` attributes — in practice the HighProgram held by a built
     :class:`~repro.runtime.program.Program`.  ``single=True`` emits a
     ``float`` kernel (relaxed-tolerance path); ``batch`` overrides the
-    strand-batch width (default 8 doubles / 16 floats; 1 gives the scalar
+    strand-batch width (default 4 doubles / 8 floats; 1 gives the scalar
     baseline kernel).  Raises :class:`~repro.errors.CodegenError` when any
     construct cannot be translated.
     """

@@ -388,7 +388,12 @@ class Program:
             # REPRO_CGEN_BATCH overrides the lane-batch width (1 = the
             # scalar baseline kernel; used by bench_native's ablation leg)
             batch_env = os.environ.get("REPRO_CGEN_BATCH")
-            batch = int(batch_env) if batch_env else None
+            try:
+                batch = int(batch_env) if batch_env else None
+            except ValueError:
+                raise CodegenError(
+                    f"REPRO_CGEN_BATCH={batch_env!r} is not an integer"
+                ) from None
             flags = cbuild.flags_for(single)
             c_source, plan = generate_c_module(self.high, single=single, batch=batch)
             lib, ffi = cbuild.build(c_source, flags=flags)

@@ -6,14 +6,15 @@ sequential NumPy run to 1e-12 (in practice the agreement is exact — the
 emitted C mirrors NumPy's operation order and ``-ffp-contract=off`` keeps
 FMA contraction from re-rounding).  The kernel is strand-batched
 (``DD_VB`` SoA lanes per iteration), so equivalence is additionally
-pinned at scheduler block sizes 1/64/4096 — full blocks, lane tails, and
-single-lane degenerate batches all hit the same double-precision oracle —
-and with the batch width forced to 1 (``REPRO_CGEN_BATCH=1``), the scalar
-baseline benchmarks use.  Single precision (``precision="single"``) runs
-natively too, checked against the float64 NumPy run at the relaxed
-tolerance DESIGN.md documents (1e-5 relative).  Corrupted LowIR must
-surface as a clean :class:`~repro.errors.CodegenError`, and a missing C
-compiler must degrade to NumPy with a warning, never a crash.
+pinned at scheduler block sizes 1/7/64/4096 — full blocks, padded last
+batches, and single-lane degenerate batches all hit the same
+double-precision oracle — and with the batch width forced to 1
+(``REPRO_CGEN_BATCH=1``), the scalar baseline benchmarks use.  Single
+precision (``precision="single"``) runs natively too, checked against
+the float64 NumPy run at the relaxed tolerance DESIGN.md documents
+(1e-5 relative).  Corrupted LowIR must surface as a clean
+:class:`~repro.errors.CodegenError`, and a missing C compiler must
+degrade to NumPy with a warning, never a crash.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ class TestGoldenEquivalence:
         assert_outputs_equal(a, b)
 
     # Block sizes that stress the batched kernel's lane handling: 1 is the
-    # all-tail degenerate case (every batch is a partial lane group), 64 is
-    # a mix of full batches and tails, 4096 exceeds every example's strand
-    # count so one block covers the whole population.
-    @pytest.mark.parametrize("block_size", [1, 64, 4096])
+    # all-padded degenerate case (every batch holds one live lane), 7 is not
+    # a multiple of DD_VB (4 double, 8 single) so every block ends in a
+    # padded batch, 64 is a mix of full batches and padded ones, 4096
+    # exceeds every example's strand count so one block covers the whole
+    # population.
+    @pytest.mark.parametrize("block_size", [1, 7, 64, 4096])
     @pytest.mark.parametrize("scheduler", ["seq", "thread", "process"])
     def test_batched_block_sizes(self, scheduler, block_size):
         a = run_outputs("ridge3d", "numpy")
@@ -131,11 +134,15 @@ class TestSinglePrecision:
         prog = ALL["ridge3d"].make_program(precision="single",
                                            **PROGRAM_KW["ridge3d"])
         a = prog.run(max_steps=MAX_STEPS, backend="c")
-        for scheduler in ("thread", "process"):
+        # block size 7 < DD_VB = 8: every seq batch is a padded one
+        for scheduler, workers, block_size in (("seq", 1, 7),
+                                               ("thread", 2, 37),
+                                               ("process", 2, 37)):
             prog2 = ALL["ridge3d"].make_program(precision="single",
                                                 **PROGRAM_KW["ridge3d"])
             b = prog2.run(max_steps=MAX_STEPS, backend="c",
-                          scheduler=scheduler, workers=2, block_size=37)
+                          scheduler=scheduler, workers=workers,
+                          block_size=block_size)
             assert_outputs_equal(a, b)
 
     def test_single_fuzz_leg(self):
@@ -151,16 +158,20 @@ class TestSemantics:
     def test_integer_division_by_zero(self):
         from repro.errors import RuntimeErrorD
 
-        src = """
-            strand S (int i) {
-                output int x = 1;
-                update { x = x / (i - 2); stabilize; }
-            }
-            initially [ S(i) | i in 0 .. 5 ];
-        """
-        prog = compile_program(src)
-        with pytest.raises(RuntimeErrorD, match="division by zero"):
-            prog.run(backend="c")
+        # With 6 strands and DD_VB = 4, a zero divisor at i = 2 sits in the
+        # full first batch and one at i = 5 in the padded last batch (2 live
+        # lanes, 2 padded ones).
+        for zero_at in (2, 5):
+            src = f"""
+                strand S (int i) {{
+                    output int x = 1;
+                    update {{ x = x / (i - {zero_at}); stabilize; }}
+                }}
+                initially [ S(i) | i in 0 .. 5 ];
+            """
+            prog = compile_program(src)
+            with pytest.raises(RuntimeErrorD, match="division by zero"):
+                prog.run(backend="c")
 
     def test_truncating_int_div_matches_numpy(self):
         src = """
@@ -212,6 +223,17 @@ def _corrupt(high, mutate):
         state_order=high.state_order,
         extra_state=high.extra_state,
     )
+
+
+# The batch body is emitted once; a second copy (e.g. a variable-width tail
+# loop) roughly quadruples the C compiler's time on every cold build.
+@pytest.mark.parametrize("batch", [None, 1])
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("name", list(ALL))
+def test_batch_body_emitted_once(name, single, batch):
+    high = ALL[name].make_program(**PROGRAM_KW[name]).high
+    c_source, _ = generate_c_module(high, single=single, batch=batch)
+    assert c_source.count("int64_t _lane[DD_VB];") == 1
 
 
 class TestCorruptedLowIR:
@@ -277,6 +299,15 @@ class TestFallback:
         err = capsys.readouterr().err
         assert "falling back to NumPy" in err
         assert res.steps > 0
+
+    def test_non_integer_batch_width_falls_back(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CGEN_BATCH", "abc")
+        a = run_outputs("isocontour", "numpy")
+        b = run_outputs("isocontour", "c")
+        err = capsys.readouterr().err
+        assert "falling back to NumPy" in err
+        assert "REPRO_CGEN_BATCH" in err
+        assert_outputs_equal(a, b)
 
     def test_failed_build_is_cached_once(self, monkeypatch, capsys):
         monkeypatch.setattr(cbuild, "find_compiler", lambda: None)
