@@ -14,7 +14,11 @@ per super-step).  Four legs run it through the sequential scheduler:
 Each native leg records both wall-clock and pure kernel seconds (the
 ``op.native_update.seconds`` metric); the batched-vs-scalar gate uses the
 kernel ratio because at this workload size a fixed ~0.4ms of per-run
-Python setup dilutes the wall ratio identically across legs.  Targets at
+Python setup dilutes the wall ratio identically across legs.  The
+batched leg's wall minus kernel seconds is recorded as
+``c_seq_overhead_s`` (strand creation, the super-step loop and run
+set-up), and the single leg's kernel is also timed built with FMA
+contraction allowed (``kernel_single_fma_s``).  Targets at
 full scale: batched kernel ≥2x over the scalar C kernel, and ≥3x
 wall-clock over NumPy (measured ~13x).
 
@@ -24,7 +28,8 @@ cache takes (``cold_build_s``).  Neither is gated.
 
 A further leg checks the GIL-release contract: with ≥2 cores, the thread
 scheduler over the native kernel must beat sequential native execution
-(cffi calls drop the GIL, so worker threads genuinely overlap).  On
+(cffi calls drop the GIL, so worker threads genuinely overlap).  Its
+block size gives each worker at least two blocks.  On
 single-core machines that leg records ``thread2_speedup: null`` together
 with the machine's ``cpu_count`` so the regression gate can tell
 "skipped for lack of cores" from "silently lost".
@@ -84,8 +89,10 @@ def _scalar_prog():
     return prog
 
 
-def _time_backend(prog, backend, scheduler="seq", workers=1) -> float:
-    kw = dict(backend=backend, scheduler=scheduler, workers=workers)
+def _time_backend(prog, backend, scheduler="seq", workers=1,
+                  block_size=4096) -> float:
+    kw = dict(backend=backend, scheduler=scheduler, workers=workers,
+              block_size=block_size)
     prog.run(max_steps=1, **kw)  # warm caches / compile the kernel
     return measure(lambda: prog.run(max_steps=STEPS, **kw), repeats=REPEATS)
 
@@ -99,6 +106,23 @@ def _kernel_seconds(prog) -> float:
             prog.run(max_steps=STEPS, backend="c")
         best = min(best, reg.counters.get("op.native_update.seconds", 0.0))
     return best
+
+
+def _single_fma_kernel_seconds() -> float:
+    """Kernel seconds of the float32 headline built with FMA contraction
+    allowed — the flag set before single builds forbade it — so the
+    payload shows what ``-ffp-contract=off`` costs the float kernel."""
+    real_flags_for = cbuild.flags_for
+
+    def fma_flags(single=False):
+        flags = real_flags_for(single)
+        return [f for f in flags if f != "-ffp-contract=off"] if single \
+            else flags
+
+    with mock.patch.object(cbuild, "flags_for", fma_flags):
+        prog = _headline_prog(precision="single")
+        prog.run(max_steps=1, backend="c")  # builds with the patched flags
+    return _kernel_seconds(prog)
 
 
 def _cold_build() -> tuple[int, float]:
@@ -124,6 +148,7 @@ def test_native_single_core_speedup(benchmark):
     k_scalar = _kernel_seconds(prog_scalar)
     k_c = _kernel_seconds(prog)
     k_single = _kernel_seconds(prog_single)
+    k_single_fma = _single_fma_kernel_seconds()
     c_bytes, cold_build_s = _cold_build()
 
     speedup = t_numpy / t_c
@@ -140,7 +165,10 @@ def test_native_single_core_speedup(benchmark):
     print(f"  c batch  seq: {t_c * 1e3:8.2f}ms  (kernel {k_c * 1e3:.2f}ms)  "
           f"{speedup:.2f}x over numpy")
     print(f"  c single seq: {t_single * 1e3:8.2f}ms  "
-          f"(kernel {k_single * 1e3:.2f}ms)")
+          f"(kernel {k_single * 1e3:.2f}ms; "
+          f"{k_single_fma * 1e3:.2f}ms with FMA contraction)")
+    print(f"  c seq overhead outside the kernel: "
+          f"{(t_c - k_c) * 1e3:.2f}ms")
     print(f"  batched vs scalar: {batch_kernel:.2f}x kernel, "
           f"{batch_wall:.2f}x wall")
     print(f"  cold build: {c_bytes} bytes of C, {cold_build_s:.2f}s")
@@ -166,6 +194,8 @@ def test_native_single_core_speedup(benchmark):
         "kernel_scalar_s": k_scalar,
         "kernel_batch_s": k_c,
         "kernel_single_s": k_single,
+        "kernel_single_fma_s": k_single_fma,
+        "c_seq_overhead_s": t_c - k_c,
         "native_speedup": speedup,
         "batch_speedup": batch_wall,
         "batch_kernel_speedup": batch_kernel,
@@ -177,7 +207,10 @@ def test_native_single_core_speedup(benchmark):
     # thread scaling leg: seq+C vs thread+C, only meaningful with >1 core
     cores = payload["cpu_count"]
     if cores >= 2:
-        t_c_thread = _time_backend(prog, "c", scheduler="thread", workers=2)
+        # at least two blocks per worker, so the threads really overlap
+        # (the default 4096-strand block would be one block in total)
+        t_c_thread = _time_backend(prog, "c", scheduler="thread", workers=2,
+                                   block_size=-(-N_STRANDS // (2 * 2)))
         payload["c_thread2_s"] = t_c_thread
         payload["thread2_speedup"] = t_c / t_c_thread
         print(f"  c  thread2: {t_c_thread * 1e3:8.2f}ms   "

@@ -36,13 +36,12 @@ long-lived server's cache stays bounded.
 
 Flag sets come from :func:`flags_for`: both precisions build with
 ``-O3 -march=native -fno-math-errno -fopenmp-simd`` so the batched lane
-loops emitted by :mod:`~repro.core.codegen.cgen` actually vectorize.  On the
-double-precision path ``-ffp-contract=off`` is load-bearing: it forbids
-fused multiply-adds so the native kernels round exactly like the NumPy
-oracle.  The single-precision path omits it (FMA allowed; its oracle
-tolerance is relaxed).  If the compiler rejects ``-march=native`` (exotic
-targets), the build retries once without it — the cache key still reflects
-the *requested* flags.  All failures are wrapped in
+loops emitted by :mod:`~repro.core.codegen.cgen` actually vectorize.  On
+both paths ``-ffp-contract=off`` is load-bearing: it forbids fused
+multiply-adds so double kernels round exactly like the NumPy oracle and
+float kernels stay inside their relaxed tolerance.  If the compiler
+rejects ``-march=native`` (exotic targets), the build retries once
+without it — the cache key still reflects the *requested* flags.  All failures are wrapped in
 :class:`~repro.errors.CodegenError` so ``Program`` can fall back to the
 NumPy backend.
 """
@@ -79,6 +78,14 @@ CDEF = (
     "int dd_update(void **RP, int64_t **IP, unsigned char **BP,"
     " const double *SC, const int64_t *IC,"
     " const int64_t *idx, int64_t start, int64_t end);"
+    "int dd_init(void **RP, int64_t **IP, unsigned char **BP,"
+    " const double *SC, const int64_t *IC,"
+    " const int64_t *idx, int64_t n);"
+    "int dd_run(void **RP, int64_t **IP, unsigned char **BP,"
+    " const double *SC, const int64_t *IC,"
+    " int64_t *active, int64_t n_active, int64_t block_size,"
+    " int64_t max_steps, int64_t *tally, double *step_s,"
+    " double *block_s, int64_t block_cap, int64_t cap);"
 )
 
 #: how long a waiter polls a peer's build lock before assuming the
@@ -87,12 +94,18 @@ DEFAULT_LOCK_TIMEOUT = 300.0
 
 
 def flags_for(single: bool = False) -> list[str]:
-    """Compiler flag set for a kernel of the given precision."""
-    flags = ["-O3"]
-    if not single:
-        # forbids FMA contraction so double kernels round exactly like the
-        # NumPy oracle (1e-12 differential agreement)
-        flags.append("-ffp-contract=off")
+    """Compiler flag set for a kernel of the given precision.
+
+    Both precisions forbid FMA contraction: double kernels then round
+    exactly like the NumPy oracle (1e-12 differential agreement), and
+    float kernels stay inside their 1e-5 tolerance — a fused multiply-add
+    under a ``sqrt`` of a near-zero float sum can move the result by more
+    than that.  Float builds add a ``DD_SINGLE`` define, so the two flag
+    sets (and their artifact keys) still differ.
+    """
+    flags = ["-O3", "-ffp-contract=off"]
+    if single:
+        flags.append("-DDD_SINGLE=1")
     flags += [
         "-march=native",
         "-fno-math-errno",

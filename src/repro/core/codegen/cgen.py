@@ -1,21 +1,37 @@
 """LowIR -> C emitter for the native backend (strand-batched SIMD form).
 
-``generate_c_module(high)`` walks the fully-lowered ``update`` function of a
-compiled program and emits one self-contained C translation unit exposing a
-single entry point::
+``generate_c_module(high)`` walks the fully-lowered ``update``, ``seed`` and
+``init`` functions of a compiled program and emits one self-contained C
+translation unit that owns the whole strand lifecycle (paper §5.5)::
 
     int dd_update(void **RP, int64_t **IP, unsigned char **BP,
                   const double *SC, const int64_t *IC,
                   const int64_t *idx, int64_t start, int64_t end);
+    int dd_init(void **RP, int64_t **IP, unsigned char **BP,
+                const double *SC, const int64_t *IC,
+                const int64_t *idx, int64_t n);
+    int dd_run(void **RP, int64_t **IP, unsigned char **BP,
+               const double *SC, const int64_t *IC,
+               int64_t *active, int64_t n_active, int64_t block_size,
+               int64_t max_steps, int64_t *tally, double *step_s,
+               double *block_s, int64_t block_cap, int64_t cap);
 
 ``RP``/``IP``/``BP`` are flat per-strand buffers (real, int64, bool state plus
 image voxel data and non-scalar globals), ``SC``/``IC`` carry scalar constants
-(scalar globals, image origins / inverse transforms / sizes), ``idx`` is the
-active-lane index list (``NULL`` means the identity mapping ``lane == k``),
-and ``[start, end)`` the half-open lane range to update.  The function
-returns 0 on success and 1 when an integer division by zero occurs on a live
-lane (the caller re-raises ``RuntimeErrorD`` to match the NumPy backend
-contract).
+(scalar globals, image origins / inverse transforms / sizes, the
+comprehension grid), ``idx`` is the active-lane index list (``NULL`` means
+the identity mapping ``lane == k``), and ``[start, end)`` the half-open lane
+range to update.  ``dd_init`` creates strands ``idx[0 .. n)`` (or ``0 .. n``):
+it derives the comprehension iterators from the flat strand id, runs the
+seed and init bodies strand-batched like the update, and writes every state
+slot.  ``dd_run`` is the super-step loop over ``dd_update`` (see
+``_RUN_LOOP``); it records per-step tallies and per-block seconds for the
+caller to fold into its metrics.  ``dd_update`` and ``dd_init`` return 1
+when an integer division by zero occurs on a live lane (the caller
+re-raises ``RuntimeErrorD`` to match the NumPy backend contract); otherwise
+``dd_init`` returns 0 and ``dd_update`` returns 2 when at least one updated
+strand stabilized or died, else 0 (``dd_run`` skips the compaction of its
+active list on steps where every block returned 0).
 
 Unlike the PR 7 emitter (one scalar body per strand), the update loop is
 *strand-batched*: strands are processed ``DD_VB`` at a time, every SSA value
@@ -45,8 +61,9 @@ NumPy code performs as two roundings.
 ``f``-suffixed form, and all numeric literals (Horner coefficients included)
 are rounded to float once at emission time and printed as exact hex float
 literals.  The float kernel is validated against the float64 NumPy oracle at
-a relaxed tolerance (see ``core.verify.fuzz``); it may use FMA contraction,
-so ``-ffp-contract=off`` is *not* required on that path.
+a relaxed tolerance (see ``core.verify.fuzz``).  It is built with
+``-ffp-contract=off`` too: a contracted multiply-add feeding the ``sqrt`` of
+a near-zero float sum can exceed that tolerance.
 
 Alongside the C source, :func:`generate_c_module` returns a picklable *plan*
 describing the buffer ABI: which state slot / image / global feeds each
@@ -394,7 +411,8 @@ def _prelude(single: bool, vb: int) -> str:
     precision = _PRECISION_SINGLE if single else _PRECISION_DOUBLE
     return (
         "#include <stdint.h>\n"
-        "#include <math.h>\n\n"
+        "#include <math.h>\n"
+        "#include <time.h>\n\n"
         f"#define DD_VB {vb}\n"
         '#define DD_SIMD _Pragma("omp simd")\n\n'
         + precision
@@ -600,10 +618,13 @@ class _Emitter:
     def _build_plan(self) -> None:
         high = self.high
         func = self.func
+        # images probed by strand creation (seed/init) bind too
+        funcs = [func, high.seed_func, high.init_func]
         used_images = sorted(
             {
                 ins.attrs["image"]
-                for ins in func.body.instructions()
+                for f in funcs
+                for ins in f.body.instructions()
                 if isinstance(ins, Instr) and "image" in ins.attrs
             }
         )
@@ -683,6 +704,14 @@ class _Emitter:
             self.ic_index[("sizes", name)] = len(ic)
             ic.extend(("sizes", name) for _ in range(d))
 
+        # comprehension grid (per-iterator extent and lower bound) for
+        # dd_init's flat-id -> iterator mapping
+        n_iters = len(high.iter_names)
+        for kind in ("iter_size", "iter_lo"):
+            for k in range(n_iters):
+                self.ic_index[(kind, k)] = len(ic)
+                ic.append((kind, k))
+
         self.plan = {
             "real_ptrs": real_ptrs,
             "int_ptrs": int_ptrs,
@@ -693,6 +722,7 @@ class _Emitter:
             "n_globals": n_globals,
             "n_state": n_state,
             "n_ret": n_ret,
+            "n_iters": n_iters,
             "real_dtype": "float32" if self.single else "float64",
             "vb": self.vb,
         }
@@ -1931,10 +1961,10 @@ class _Emitter:
                 self._declare_consts(item.then_body)
                 self._declare_consts(item.else_body)
 
-    # -- batch body -----------------------------------------------------------
+    # -- batch bodies ---------------------------------------------------------
 
-    def _emit_batch_body(self) -> None:
-        """The per-batch strand update over lanes ``_k0 .. _k0 + DD_VB``.
+    def _emit_lanes(self) -> None:
+        """Map lanes ``_k0 .. _k0 + DD_VB`` to strand ids in ``_lane``.
 
         Every lane loop has the compile-time trip count ``DD_VB``.  A short
         last batch is padded: lanes past ``end`` are clamped to lane
@@ -1943,10 +1973,6 @@ class _Emitter:
         because every state load precedes every writeback, the padded
         lanes cannot raise a status the live lane does not, and the clamp
         keeps the batch inside the caller's ``[start, end)``."""
-        func = self.func
-        n_globals = self.plan["n_globals"]
-        n_state = self.plan["n_state"]
-
         self.emit("int64_t _lane[DD_VB];")
         self.lane_stmt(
             "_lane[_l] = _k0 + _l < end ? _k0 + _l : end - 1;", simd=False
@@ -1956,6 +1982,43 @@ class _Emitter:
         self.lane_stmt("_lane[_l] = idx[_lane[_l]];", simd=False)
         self.indent -= 1
         self.emit("}")
+
+    def _emit_writeback(self, results, count: int) -> None:
+        """Store ``results[:count]`` into state slots ``0 .. count - 1``."""
+        n_globals = self.plan["n_globals"]
+        for si in range(count):
+            r = results[si]
+            p_ty = self.func.params[n_globals + si].ty
+            if isinstance(p_ty, TensorTy):
+                rp = self.real_ptr_index[("state", si)]
+                sz = _tensor_size(p_ty)
+                if p_ty.shape == ():
+                    self.lane_stmt(f"_rp{rp}[_lane[_l]] = {self.ref(r)};")
+                else:
+                    e = self.names.fresh("e")
+                    self.emit(f"for (int {e} = 0; {e} < {sz}; {e}++) {{")
+                    self.indent += 1
+                    self.lane_stmt(
+                        f"_rp{rp}[_lane[_l] * {sz} + {e}] = {self.ref(r, e)};"
+                    )
+                    self.indent -= 1
+                    self.emit("}")
+            elif p_ty == INT:
+                ip = self.int_ptr_index[("state", si)]
+                self.lane_stmt(f"_ip{ip}[_lane[_l]] = {self.ref(r)};")
+            elif p_ty == BOOL:
+                bp = self.bool_ptr_index[("state", si)]
+                self.lane_stmt(
+                    f"_bp{bp}[_lane[_l]] = (unsigned char)({self.ref(r)} != 0);"
+                )
+
+    def _emit_batch_body(self) -> None:
+        """The per-batch strand update (lane mapping: :meth:`_emit_lanes`)."""
+        func = self.func
+        n_globals = self.plan["n_globals"]
+        n_state = self.plan["n_state"]
+
+        self._emit_lanes()
 
         # state parameter loads (SoA gather by lane)
         for si in range(n_state):
@@ -2005,52 +2068,51 @@ class _Emitter:
         # (a prefix of the slots — immutable extras at the tail are never
         # returned), results[-1] is the strand status.
         results = func.results
-        n_ret = self.plan["n_ret"]
-        for si in range(n_ret):
-            r = results[si]
-            p_ty = func.params[n_globals + si].ty
-            if isinstance(p_ty, TensorTy):
-                rp = self.real_ptr_index[("state", si)]
-                sz = _tensor_size(p_ty)
-                if p_ty.shape == ():
-                    self.lane_stmt(f"_rp{rp}[_lane[_l]] = {self.ref(r)};")
-                else:
-                    e = self.names.fresh("e")
-                    self.emit(f"for (int {e} = 0; {e} < {sz}; {e}++) {{")
-                    self.indent += 1
-                    self.lane_stmt(
-                        f"_rp{rp}[_lane[_l] * {sz} + {e}] = {self.ref(r, e)};"
-                    )
-                    self.indent -= 1
-                    self.emit("}")
-            elif p_ty == INT:
-                ip = self.int_ptr_index[("state", si)]
-                self.lane_stmt(f"_ip{ip}[_lane[_l]] = {self.ref(r)};")
-            elif p_ty == BOOL:
-                bp = self.bool_ptr_index[("state", si)]
-                self.lane_stmt(
-                    f"_bp{bp}[_lane[_l]] = (unsigned char)({self.ref(r)} != 0);"
-                )
+        self._emit_writeback(results, self.plan["n_ret"])
         status_ip = self.int_ptr_index[("status",)]
         self.lane_stmt(f"_ip{status_ip}[_lane[_l]] = {self.ref(results[-1])};")
+        # padded lanes repeat a live lane's status, so "any lane left" holds
+        self.lane_stmt(f"_left |= {self.ref(results[-1])} != 0;", simd=False)
 
-    # -- top-level -----------------------------------------------------------
+    def _emit_init_body(self, seed: Func, init: Func) -> None:
+        """Per-batch strand creation: the comprehension iterators from the
+        flat strand id, the seed body (iterators -> strand parameters), the
+        init body (parameters -> state), and a writeback of every state
+        slot, immutable extras included."""
+        n_globals = self.plan["n_globals"]
+        self._emit_lanes()
+        # flat id -> iterator values, last iterator fastest (row-major,
+        # as Program.run enumerates the grid)
+        self.emit("int64_t _rem[DD_VB];")
+        self.lane_stmt("_rem[_l] = _lane[_l];", simd=False)
+        iters = seed.params[n_globals:]
+        for k in reversed(range(len(iters))):
+            p = iters[k]
+            self._declare_value(p)
+            name = self.names.val(p)
+            self.lane_stmt(
+                f"{{ {name}[_l] = _rem[_l] % _isz{k} + _ilo{k}; "
+                f"_rem[_l] /= _isz{k}; }}",
+                simd=False,
+            )
+        self._declare_results(seed.body)
+        self._emit_body(seed.body)
+        # seed results are init's strand parameters
+        for p, r in zip(init.params[n_globals:], seed.results):
+            self._declare_value(p)
+            sz = self.size_of(p)
+            self._ew_loop(p, lambda i, _r=r, _sz=sz: self._bcast_ref(_r, i, _sz))
+        self._declare_results(init.body)
+        self._emit_body(init.body)
+        self._emit_writeback(init.results, self.plan["n_state"])
 
-    def generate(self) -> tuple[str, dict]:
-        self._build_plan()
-        func = self.func
+    # -- entry points ---------------------------------------------------------
+
+    def _emit_prologue(self, funcs: list) -> None:
+        """Pointer-table aliases, image metadata, the lane-invariant globals
+        of every function in ``funcs`` and their hoisted constants."""
         plan = self.plan
         n_globals = plan["n_globals"]
-
-        out: list[str] = [_prelude(self.single, self.vb)]
-        out.append(
-            "int dd_update(void **RP, int64_t **IP, unsigned char **BP,\n"
-            "              const double *SC, const int64_t *IC,\n"
-            "              const int64_t *idx, int64_t start, int64_t end) {"
-        )
-        self.lines = []
-        self.indent = 1
-
         # pointer-table aliases (RP entries carry dd_real payloads).  The
         # binder refuses aliasing buffers (runtime/native.py), so restrict
         # is sound and unlocks vectorization of the indirect accesses.
@@ -2090,52 +2152,121 @@ class _Emitter:
             self.emit(f"const dd_real *const _vox_{img} = _rp{rp};")
 
         # globals are lane-invariant
-        for gi in range(n_globals):
-            p = func.params[gi]
-            ty = p.ty
-            name = self.names.val(p)
-            self.uniform.add(p.id)
-            if isinstance(ty, TensorTy) and ty.shape != ():
-                rp = self.real_ptr_index[("global", gi)]
-                sz = _tensor_size(ty)
-                self.kinds[p.id] = "array"
-                self.sizes[p.id] = sz
-                self.emit(f"const dd_real *const {name} = _rp{rp};")
-            elif isinstance(ty, TensorTy):
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const dd_real {name} = "
-                    f"(dd_real)SC[{self.sc_index[('global', gi)]}];"
-                )
-            elif ty == INT:
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const int64_t {name} = IC[{self.ic_index[('global', gi)]}];"
-                )
-            elif ty == BOOL:
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const int {name} = (int)IC[{self.ic_index[('global', gi)]}];"
-                )
-            else:
-                self.fail(f"unsupported global type {ty!r}")
+        for func in funcs:
+            for gi in range(n_globals):
+                p = func.params[gi]
+                ty = p.ty
+                name = self.names.val(p)
+                self.uniform.add(p.id)
+                if isinstance(ty, TensorTy) and ty.shape != ():
+                    rp = self.real_ptr_index[("global", gi)]
+                    self.kinds[p.id] = "array"
+                    self.sizes[p.id] = _tensor_size(ty)
+                    self.emit(f"const dd_real *const {name} = _rp{rp};")
+                elif isinstance(ty, TensorTy):
+                    self.kinds[p.id] = "scalar"
+                    self.sizes[p.id] = 1
+                    self.emit(
+                        f"const dd_real {name} = "
+                        f"(dd_real)SC[{self.sc_index[('global', gi)]}];"
+                    )
+                elif ty == INT:
+                    self.kinds[p.id] = "scalar"
+                    self.sizes[p.id] = 1
+                    self.emit(
+                        f"const int64_t {name} = "
+                        f"IC[{self.ic_index[('global', gi)]}];"
+                    )
+                elif ty == BOOL:
+                    self.kinds[p.id] = "scalar"
+                    self.sizes[p.id] = 1
+                    self.emit(
+                        f"const int {name} = "
+                        f"(int)IC[{self.ic_index[('global', gi)]}];"
+                    )
+                else:
+                    self.fail(f"unsupported global type {ty!r}")
+            # hoisted constants + zero-init marking
+            self._declare_consts(func.body)
+            self._collect_phi_operands(func.body)
 
-        # hoisted constants + zero-init marking, then the batch loop
-        self._declare_consts(func.body)
-        self._collect_phi_operands(func.body)
+    def _entry(self, signature: str, funcs: list, body_fn,
+               ret: str = "0") -> list[str]:
+        """One entry point: ``signature {`` prologue, batch loop, ``}``."""
+        self.lines = []
+        self.indent = 1
+        self._emit_prologue(funcs)
+        body_fn()
+        self.emit(f"return {ret};")
+        return [signature + " {", *self.lines, "}"]
 
+    def _batch_loop(self, body_fn) -> None:
         self.emit("for (int64_t _k0 = start; _k0 < end; _k0 += DD_VB) {")
         self.indent += 1
-        self._emit_batch_body()
+        body_fn()
         self.indent -= 1
         self.emit("}")
-        self.emit("return 0;")
 
-        out.extend(self.lines)
-        out.append("}")
+    def _init_funcs(self) -> tuple[Func, Func]:
+        seed, init = self.high.seed_func, self.high.init_func
+        n_globals = self.plan["n_globals"]
+        n_iters = self.plan["n_iters"]
+        if len(seed.params) != n_globals + n_iters:
+            self.fail(
+                f"seed function arity mismatch: {len(seed.params)} params vs "
+                f"{n_globals} globals + {n_iters} iterators"
+            )
+        if len(init.params) != n_globals + len(seed.results):
+            self.fail(
+                f"init function arity mismatch: {len(init.params)} params vs "
+                f"{n_globals} globals + {len(seed.results)} strand parameters"
+            )
+        if len(init.results) != self.plan["n_state"]:
+            self.fail(
+                f"init result arity mismatch: {len(init.results)} results vs "
+                f"{self.plan['n_state']} state slots"
+            )
+        return seed, init
+
+    def generate(self) -> tuple[str, dict]:
+        self._build_plan()
+        plan = self.plan
+        out: list[str] = [_prelude(self.single, self.vb)]
+
+        def update_loop():
+            self.emit("int _left = 0;")  # did any strand stabilize or die?
+            self._batch_loop(self._emit_batch_body)
+
+        # noinline: dd_run calls this one compiled copy of the batch body
+        out += self._entry(
+            "__attribute__((noinline))\n"
+            "int dd_update(void **RP, int64_t **IP, unsigned char **BP,\n"
+            "              const double *SC, const int64_t *IC,\n"
+            "              const int64_t *idx, int64_t start, int64_t end)",
+            [self.func],
+            update_loop,
+            ret="_left ? 2 : 0",
+        )
+
+        seed, init = self._init_funcs()
+
+        def init_loop():
+            self.emit("const int64_t start = 0, end = n;")
+            for k in range(plan["n_iters"]):
+                self.emit(f"const int64_t _isz{k} = "
+                          f"IC[{self.ic_index[('iter_size', k)]}];")
+                self.emit(f"const int64_t _ilo{k} = "
+                          f"IC[{self.ic_index[('iter_lo', k)]}];")
+            self._batch_loop(lambda: self._emit_init_body(seed, init))
+
+        out += self._entry(
+            "int dd_init(void **RP, int64_t **IP, unsigned char **BP,\n"
+            "            const double *SC, const int64_t *IC,\n"
+            "            const int64_t *idx, int64_t n)",
+            [seed, init],
+            init_loop,
+        )
+        out.append(_RUN_LOOP % self.int_ptr_index[("status",)])
         c_source = "\n".join(out) + "\n"
 
         # per-image metadata the binder needs (dim, tshape) — picklable
@@ -2148,21 +2279,84 @@ class _Emitter:
         return c_source, plan
 
 
+# The bulk-synchronous super-step loop (paper §5.5) over dd_update.  Per
+# step: update the active list block by block (a block whose ids span
+# exactly its length is a contiguous run, since the list stays ascending,
+# and takes the NULL-index dense path), then — when a block reported that
+# a strand stabilized or died — compact the list in order and tally the
+# strands that left.  Returns the number of steps completed, or
+# -(steps + 1) when a block reports an integer division by zero.  Stops
+# early when max_steps (< 0: unbounded) steps have run, the ``cap``-step
+# tally buffer is full, or the next step's blocks would overflow
+# ``block_cap`` — the caller folds the tallies and calls again.
+_RUN_LOOP = """\
+static double dd_now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+int dd_run(void **RP, int64_t **IP, unsigned char **BP,
+           const double *SC, const int64_t *IC,
+           int64_t *active, int64_t n_active, int64_t block_size,
+           int64_t max_steps, int64_t *tally, double *step_s,
+           double *block_s, int64_t block_cap, int64_t cap) {
+    const int64_t *status = IP[%d];
+    int64_t steps = 0, used = 0;
+    while (n_active > 0 && steps < cap && (max_steps < 0 || steps < max_steps)) {
+        const int64_t nb = (n_active + block_size - 1) / block_size;
+        if (used + nb > block_cap) break;
+        const double t0 = dd_now();
+        int left = 0;
+        for (int64_t b = 0; b < nb; b++) {
+            const int64_t s = b * block_size;
+            const int64_t e = s + block_size < n_active ? s + block_size : n_active;
+            const double tb = dd_now();
+            const int rc = active[e - 1] - active[s] == e - 1 - s
+                ? dd_update(RP, IP, BP, SC, IC, 0, active[s], active[s] + (e - s))
+                : dd_update(RP, IP, BP, SC, IC, active, s, e);
+            block_s[used + b] = dd_now() - tb;
+            if (rc == 1) return -(steps + 1);
+            left |= rc;
+        }
+        int64_t keep = n_active, stable = 0;
+        if (left) {
+            keep = 0;
+            for (int64_t i = 0; i < n_active; i++) {
+                const int64_t st = status[active[i]];
+                if (st == 0) active[keep++] = active[i];
+                else if (st == 1) stable++;
+            }
+        }
+        tally[4 * steps + 0] = n_active;
+        tally[4 * steps + 1] = stable;
+        tally[4 * steps + 2] = n_active - keep - stable;
+        tally[4 * steps + 3] = nb;
+        step_s[steps] = dd_now() - t0;
+        used += nb;
+        n_active = keep;
+        steps++;
+    }
+    return steps;
+}"""
+
+
 def generate_c_module(
     high: Any, single: bool = False, batch: int | None = None
 ) -> tuple[str, dict]:
     """Emit (c_source, plan) for a compiled program's update function.
 
-    ``high`` is any object with ``update_func`` (a LowIR :class:`Func`),
-    ``images`` (name -> ImageSlot), ``concrete_globals``, ``state_order`` and
-    ``extra_state`` attributes — in practice the HighProgram held by a built
+    ``high`` is any object with ``update_func``, ``seed_func`` and
+    ``init_func`` (LowIR :class:`Func`\ s), ``images`` (name -> ImageSlot),
+    ``concrete_globals``, ``state_order``, ``extra_state`` and
+    ``iter_names`` attributes — in practice the HighProgram held by a built
     :class:`~repro.runtime.program.Program`.  ``single=True`` emits a
     ``float`` kernel (relaxed-tolerance path); ``batch`` overrides the
     strand-batch width (default 4 doubles / 8 floats; 1 gives the scalar
     baseline kernel).  Raises :class:`~repro.errors.CodegenError` when any
     construct cannot be translated.
     """
-    func = getattr(high, "update_func", None)
-    if not isinstance(func, Func):
-        raise CodegenError("cgen: program has no LowIR update function")
+    for name in ("update_func", "seed_func", "init_func"):
+        if not isinstance(getattr(high, name, None), Func):
+            raise CodegenError(f"cgen: program has no LowIR {name}")
     return _Emitter(high, single=single, batch=batch).generate()

@@ -9,7 +9,10 @@ the active-index pointer and the ``[start, end)`` range change, so the
 per-call Python overhead is a handful of casts.  When the index window is a
 contiguous ascending run, ``run_range`` passes a NULL index pointer and the
 batched kernel maps lanes directly (``lane == k``) — the common dense case
-skips the per-lane gather entirely.
+skips the per-lane gather entirely.  The same tables serve the other two
+entry points: ``init`` creates strands in place (``dd_init``) and
+``run_loop`` runs whole super-steps in C (``dd_run``), folding the per-step
+tallies it returns into the caller's metrics.
 
 The cffi call releases the GIL for its whole duration.  Disjoint lane
 ranges touch disjoint state elements, so concurrent ``run_range`` calls
@@ -34,10 +37,13 @@ import numpy as np
 from repro.errors import CodegenError, RuntimeErrorD
 from repro.obs import metrics as _mx
 
-__all__ = ["BACKEND_NAMES", "NativeUpdate"]
+__all__ = ["BACKEND_NAMES", "LOOP_CAP", "NativeUpdate"]
 
 #: Valid values for ``Program.run(backend=...)`` / ``--backend``.
 BACKEND_NAMES = ("numpy", "c")
+
+#: super-steps per ``dd_run`` call before control returns to Python
+LOOP_CAP = 64
 
 
 def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:
@@ -55,9 +61,11 @@ def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:
 
 
 class NativeUpdate:
-    """One bound native update kernel over a fixed set of run arrays."""
+    """The native kernels of one program bound to a fixed set of run
+    arrays: strand creation, the strand update, and the super-step loop."""
 
-    def __init__(self, lib, ffi, plan, images, global_values, state, status):
+    def __init__(self, lib, ffi, plan, images, global_values, state, status,
+                 grid=None):
         self._lib = lib
         self._ffi = ffi
         self._plan = plan
@@ -68,22 +76,13 @@ class NativeUpdate:
         real_dtype = np.dtype(plan.get("real_dtype", "float64"))
         real_ctype = "float[]" if real_dtype == np.float32 else "double[]"
 
-        writable = []  # (name, array) pairs that the kernel mutates
-        # slots >= n_ret are immutable extras: read-only, never written
-        # back, so a private contiguous copy is always a safe binding
-        n_ret = plan.get("n_ret", plan["n_state"])
+        # (name, array) pairs that the kernels mutate: every state slot —
+        # dd_init writes the immutable extras too — and the status
+        writable = []
 
-        def readonly_state(arr, want_dtype, si):
-            arr = np.asarray(arr)
-            if arr.dtype != np.dtype(want_dtype):
-                raise CodegenError(
-                    f"native backend: state slot {si} has dtype {arr.dtype}, "
-                    f"expected {np.dtype(want_dtype)}"
-                )
-            arr = np.ascontiguousarray(arr)
-            if any(np.may_share_memory(arr, state[j]) for j in range(n_ret)):
-                arr = np.array(arr)  # aliasing a written slot: private copy
-            self._keep.append(arr)
+        def state_array(si, want_dtype):
+            arr = _check_state_array(state[si], want_dtype, f"state slot {si}")
+            writable.append((f"state{si}", arr))
             return arr
 
         def image_array(name):
@@ -110,47 +109,24 @@ class NativeUpdate:
                     np.asarray(global_values[entry[1]], dtype=real_dtype)
                 ).reshape(-1)
                 self._keep.append(arr)
-            elif entry[1] >= n_ret:  # ("state", si) read-only extra
-                arr = readonly_state(state[entry[1]], real_dtype, entry[1])
             else:  # ("state", si)
-                arr = _check_state_array(
-                    state[entry[1]], real_dtype, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
-            rp_bufs.append(
-                self._buf(real_ctype, arr,
-                          writable=kind == "state" and entry[1] < n_ret)
-            )
+                arr = state_array(entry[1], real_dtype)
+            rp_bufs.append(self._buf(real_ctype, arr, writable=kind == "state"))
 
         ip_bufs = []
         for entry in plan["int_ptrs"]:
             if entry[0] == "status":
                 arr = _check_state_array(status, np.int64, "status")
                 writable.append(("status", arr))
-                wr = True
-            elif entry[1] >= n_ret:
-                arr = readonly_state(state[entry[1]], np.int64, entry[1])
-                wr = False
             else:
-                arr = _check_state_array(
-                    state[entry[1]], np.int64, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
-                wr = True
-            ip_bufs.append(self._buf("int64_t[]", arr, writable=wr))
+                arr = state_array(entry[1], np.int64)
+            ip_bufs.append(self._buf("int64_t[]", arr, writable=True))
 
-        bp_bufs = []
-        for entry in plan["bool_ptrs"]:
-            if entry[1] >= n_ret:
-                arr = readonly_state(state[entry[1]], np.bool_, entry[1])
-                wr = False
-            else:
-                arr = _check_state_array(
-                    state[entry[1]], np.bool_, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
-                wr = True
-            bp_bufs.append(self._buf("unsigned char[]", arr, writable=wr))
+        bp_bufs = [
+            self._buf("unsigned char[]", state_array(entry[1], np.bool_),
+                      writable=True)
+            for entry in plan["bool_ptrs"]
+        ]
 
         # The kernel writes every state array in place; aliased arrays would
         # double-apply updates, so refuse them (Program then uses NumPy).
@@ -191,6 +167,14 @@ class NativeUpdate:
             entry = entries[i]
             if entry[0] == "global":
                 ic[i] = int(global_values[entry[1]])
+                i += 1
+                continue
+            if entry[0] in ("iter_size", "iter_lo"):
+                # the comprehension grid; only dd_init reads it
+                if grid is not None:
+                    sizes, los = grid
+                    vals = los if entry[0] == "iter_lo" else sizes
+                    ic[i] = vals[entry[1]]
                 i += 1
                 continue
             kind, name = entry
@@ -258,7 +242,82 @@ class NativeUpdate:
                 self._rp, self._ip, self._bp, self._sc, self._ic,
                 idx_buf, int(start), int(end),
             )
+        # 0: every strand still running, 2: some stabilized or died
         if rc == 1:
             raise RuntimeErrorD("integer division by zero")
-        if rc != 0:
+        if rc not in (0, 2):
             raise RuntimeErrorD(f"native update failed with code {rc}")
+
+    def init(self, idx: np.ndarray | None, n: int) -> None:
+        """Create strands natively: run seed + init for strand ids
+        ``idx`` (all ``n`` strands ``0 .. n - 1`` when ``idx`` is None)
+        and write every state slot in place.  Needs the ``grid`` the
+        binder was given.  Raises :class:`RuntimeErrorD` on an integer
+        division by zero."""
+        if idx is None:
+            idx_buf = self._ffi.NULL
+        else:
+            idx = np.ascontiguousarray(idx, dtype=np.int64)
+            n = idx.shape[0]
+            idx_buf = self._ffi.from_buffer("int64_t[]", idx)
+        if n <= 0:
+            return
+        t0 = time.perf_counter()
+        rc = self._lib.dd_init(self._rp, self._ip, self._bp, self._sc,
+                               self._ic, idx_buf, int(n))
+        _mx.ACTIVE.op("native_init", int(n), time.perf_counter() - t0)
+        if rc != 0:
+            raise RuntimeErrorD("integer division by zero")
+
+    def run_loop(self, active: np.ndarray, block_size: int,
+                 max_steps: int | None, fold=None) -> tuple[int, np.ndarray]:
+        """Run whole super-steps in C (``dd_run``) until every strand in
+        ``active`` (ascending strand ids) has left, or ``max_steps``
+        steps have run.  Returns ``(steps, still_active_ids)``.
+
+        ``dd_run`` returns to Python every :data:`LOOP_CAP` steps (or
+        sooner when its per-block buffer fills), so memory stays bounded
+        and a long run stays interruptible.  After each such chunk
+        ``fold(first_step, tally, step_seconds, block_seconds)`` receives
+        the chunk's per-step ``(active, stable, died, blocks)`` rows and
+        timings.  A division by zero raises :class:`RuntimeErrorD` after
+        the completed steps were folded.
+        """
+        if block_size <= 0:
+            raise ValueError("block size must be positive")
+        active = np.array(active, dtype=np.int64)  # compacted in place
+        n = int(active.shape[0])
+        ffi = self._ffi
+        cap = LOOP_CAP
+        blocks0 = -(-n // block_size)
+        block_cap = max(blocks0, min(cap * blocks0, 1 << 16))
+        tally = np.empty((cap, 4), dtype=np.int64)
+        step_s = np.empty(cap)
+        block_s = np.empty(block_cap)
+        active_buf = ffi.from_buffer("int64_t[]", active)
+        tally_buf = ffi.from_buffer("int64_t[]", tally)
+        step_buf = ffi.from_buffer("double[]", step_s)
+        block_buf = ffi.from_buffer("double[]", block_s)
+        steps = 0
+        while n and (max_steps is None or steps < max_steps):
+            limit = -1 if max_steps is None else max_steps - steps
+            k = self._lib.dd_run(
+                self._rp, self._ip, self._bp, self._sc, self._ic,
+                active_buf, n, int(block_size), limit, tally_buf, step_buf,
+                block_buf, block_cap, cap,
+            )
+            failed = k < 0
+            if failed:
+                k = -k - 1
+            if k:
+                last = tally[k - 1]
+                n = int(last[0] - last[1] - last[2])
+                if fold is not None:
+                    nb = int(tally[:k, 3].sum())
+                    fold(steps, tally[:k], step_s[:k], block_s[:nb])
+                steps += k
+            if failed:
+                raise RuntimeErrorD("integer division by zero")
+            if not k:  # unreachable: the first step always fits the buffers
+                raise RuntimeErrorD("native super-step loop made no progress")
+        return steps, active[:n]

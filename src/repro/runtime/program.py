@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -193,6 +194,42 @@ def _record_step_metrics(reg, step, n_blocks, active, stable, died,
                         bounds=_mx.IMBALANCE_BUCKETS)
     reg.row("steps", step=step, blocks=n_blocks, active=active,
             stable=stable, died=died, seconds=step_dt)
+
+
+def _fold_native_steps(reg, workers, first, tally, step_s, block_s):
+    """Record a chunk of ``dd_run`` super-steps in bulk: the same keys and
+    ``steps`` rows :func:`_record_step_metrics` and the per-block
+    ``native_update`` op record for a sequential run (every block on
+    worker 0).  ``tally`` rows are ``(active, stable, died, blocks)``."""
+    rows = tally.tolist()
+    secs = step_s.tolist()
+    updated, stable, died, blocks = (int(x) for x in tally.sum(axis=0))
+    busy = float(block_s.sum())
+    busy_key, blocks_key = _worker_keys(0)
+    reg.inc_many({
+        "sched.supersteps": len(rows),
+        "strands.updated": updated,
+        "strands.stabilized": stable,
+        "strands.died": died,
+        busy_key: busy,
+        blocks_key: blocks,
+        "op.native_update.calls": blocks,
+        "op.native_update.lanes": updated,
+        "op.native_update.seconds": busy,
+        "native.loop.chunks": 1,
+    })
+    reg.observe_many("sched.step_seconds", step_s)
+    reg.observe_many("sched.block_seconds", block_s)
+    if workers > 1:  # one worker did everything: max/mean = workers
+        reg.observe_many("sched.imbalance", [float(workers)] * len(rows),
+                         bounds=_mx.IMBALANCE_BUCKETS)
+    reg.rows("steps", [
+        {"step": first + i, "blocks": r[3], "active": r[0],
+         "stable": r[1], "died": r[2], "seconds": dt}
+        for i, (r, dt) in enumerate(zip(rows, secs))
+    ])
+    last = rows[-1]
+    reg.gauge("strands.active", last[0] - last[1] - last[2])
 
 
 class _IncState:
@@ -409,6 +446,57 @@ class Program:
         self._native_art = (c_source, plan, lib, ffi)
         return self._native_art
 
+    def _alloc_state(self, total: int) -> list[np.ndarray]:
+        """Fresh storage for every state slot (declared state, then the
+        hidden immutable extras) for the native ``dd_init`` to fill."""
+        from repro.core.ty.types import BOOL, INT
+
+        typed = self.high.typed
+        state = []
+        for name in self.high.init_func.result_names:
+            table = typed.state if name in typed.state else typed.params
+            ty = table[name].ty
+            if ty == INT:
+                state.append(np.empty(total, dtype=np.int64))
+            elif ty == BOOL:
+                state.append(np.empty(total, dtype=np.bool_))
+            else:
+                state.append(np.empty((total,) + tuple(ty.shape),
+                                      dtype=self.dtype))
+        return state
+
+    def _bind_native(self, native_art, ctx, g, state, status, sizes, los):
+        """A :class:`NativeUpdate` over the run's arrays, or ``None`` (with
+        a warning) when they cannot be bound."""
+        _, plan, lib, ffi = native_art
+        try:
+            return NativeUpdate(lib, ffi, plan, ctx.images, g, state, status,
+                                grid=(sizes, los))
+        except CodegenError as exc:
+            print(
+                f"warning: native backend unavailable, falling back to "
+                f"NumPy: {exc}",
+                file=sys.stderr,
+            )
+            return None
+
+    def _seed_init(self, ctx, g, ids, sizes, los, rec):
+        """NumPy strand creation: ``seed`` + ``init`` for the flat strand
+        ids ``ids`` (row-major over the comprehension grid)."""
+        ns = self.namespace
+        iter_vals = []
+        rem = ids
+        for k in range(len(sizes) - 1, -1, -1):
+            iter_vals.insert(0, rem % sizes[k] + los[k])
+            rem = rem // sizes[k]
+        if rec is not None:
+            rec.lane_map = ids
+        params = ns["seed"](ctx, *g, *iter_vals)
+        state = ns["init"](ctx, *g, *params)
+        if rec is not None:
+            rec.lane_map = None
+        return state
+
     # -- execution ----------------------------------------------------------------
 
     def run(
@@ -602,38 +690,37 @@ class Program:
             rec.resize(total)
         state_names = self.high.init_func.result_names
         restore_dirty = None
+        # the native kernels bind to the run's state arrays before strand
+        # creation: dd_init fills them in place, dd_update/dd_run then
+        # update them in place
+        native = None
         if _restore is None:
-            idx = np.arange(total, dtype=np.int64)
-            iter_vals = []
-            rem = idx
-            for k in range(len(sizes) - 1, -1, -1):
-                iter_vals.insert(0, rem % sizes[k] + los[k])
-                rem = rem // sizes[k]
-
-            if rec is not None:
-                rec.lane_map = idx
-            params = ns["seed"](ctx, *g, *iter_vals)
-            state = list(ns["init"](ctx, *g, *params))
-            if rec is not None:
-                rec.lane_map = None
-            # Initializers that fold to constants come back unbatched; give
-            # every state variable its (strands, *tensor_shape) storage.  Two
-            # state variables initialized from the same SSA value come back as
-            # the same array object — each needs its own storage, since state
-            # is updated in place per block.
-            seen: set[int] = set()
-            for i, (name, arr) in enumerate(zip(state_names, state)):
-                arr = np.asarray(arr)
-                order = self._state_tensor_order(name)
-                if arr.ndim == order:
-                    arr = np.broadcast_to(arr, (total,) + arr.shape)
-                arr = np.ascontiguousarray(arr)
-                if not arr.flags.writeable or id(arr) in seen:
-                    arr = arr.copy()
-                seen.add(id(arr))
-                state[i] = arr
-
             status = np.zeros(total, dtype=np.int64)  # RUNNING
+            if native_art is not None:
+                state = self._alloc_state(total)
+                native = self._bind_native(native_art, ctx, g, state, status,
+                                           sizes, los)
+            if native is not None:
+                native.init(None, total)
+            else:
+                state = list(self._seed_init(
+                    ctx, g, np.arange(total, dtype=np.int64), sizes, los, rec))
+                # Initializers that fold to constants come back unbatched;
+                # give every state variable its (strands, *tensor_shape)
+                # storage.  Two state variables initialized from the same
+                # SSA value come back as the same array object — each needs
+                # its own storage, since state is updated in place per block.
+                seen: set[int] = set()
+                for i, (name, arr) in enumerate(zip(state_names, state)):
+                    arr = np.asarray(arr)
+                    order = self._state_tensor_order(name)
+                    if arr.ndim == order:
+                        arr = np.broadcast_to(arr, (total,) + arr.shape)
+                    arr = np.ascontiguousarray(arr)
+                    if not arr.flags.writeable or id(arr) in seen:
+                        arr = arr.copy()
+                    seen.add(id(arr))
+                    state[i] = arr
         else:
             # incremental restore: clean strands come back from the
             # checkpoint; dirty strands are re-seeded and re-initialized
@@ -650,25 +737,23 @@ class Program:
             restore_dirty = np.asarray(_restore["dirty"], dtype=np.int64)
             if rec is not None:
                 rec.reset_rows(restore_dirty)
+            if native_art is not None:
+                native = self._bind_native(native_art, ctx, g, state, status,
+                                           sizes, los)
             if restore_dirty.size:
-                iter_vals = []
-                rem = restore_dirty
-                for k in range(len(sizes) - 1, -1, -1):
-                    iter_vals.insert(0, rem % sizes[k] + los[k])
-                    rem = rem // sizes[k]
-                if rec is not None:
-                    rec.lane_map = restore_dirty
-                params = ns["seed"](ctx, *g, *iter_vals)
-                new_state = ns["init"](ctx, *g, *params)
-                if rec is not None:
-                    rec.lane_map = None
-                for s_arr, new in zip(state, new_state):
-                    new = np.asarray(new)
-                    if new.dtype != s_arr.dtype:
-                        new = new.astype(s_arr.dtype)
-                    # unbatched (constant-folded) results broadcast over
-                    # the dirty rows, matching the cold materialization
-                    s_arr[restore_dirty] = new
+                if native is not None:
+                    native.init(restore_dirty, restore_dirty.size)
+                else:
+                    new_state = self._seed_init(ctx, g, restore_dirty, sizes,
+                                                los, rec)
+                    for s_arr, new in zip(state, new_state):
+                        new = np.asarray(new)
+                        if new.dtype != s_arr.dtype:
+                            new = new.astype(s_arr.dtype)
+                        # unbatched (constant-folded) results broadcast
+                        # over the dirty rows, matching the cold
+                        # materialization
+                        s_arr[restore_dirty] = new
                 status[restore_dirty] = RUNNING
             restore_dt = time.perf_counter() - restore_t0
             if tr.enabled:
@@ -682,7 +767,6 @@ class Program:
 
         pool = None
         sched = None
-        native = None
         if scheduler == "process":
             if ext_sched is not None:
                 pool = ext_sched
@@ -710,27 +794,27 @@ class Program:
                 self.generated_source, ctx.images, self.dtype, g, state,
                 status, metrics=reg.enabled, native=native_setup
             )
+            native = None  # bound to the pre-setup arrays; workers update
+        elif ext_sched is not None:
+            sched = ext_sched
+        elif scheduler == "thread":
+            sched = ThreadScheduler(workers)
         else:
-            if ext_sched is not None:
-                sched = ext_sched
-            elif scheduler == "thread":
-                sched = ThreadScheduler(workers)
-            else:
-                sched = SequentialScheduler()
-            if backend == "c" and native_art is not None:
-                _, plan, lib, ffi = native_art
-                try:
-                    # binds the *materialized* state arrays: the native
-                    # kernel updates them in place, so the per-step result
-                    # adoption/scatter below is skipped entirely
-                    native = NativeUpdate(lib, ffi, plan, ctx.images, g,
-                                          state, status)
-                except CodegenError as exc:
-                    print(
-                        f"warning: native backend unavailable, falling "
-                        f"back to NumPy: {exc}",
-                        file=sys.stderr,
-                    )
+            sched = SequentialScheduler()
+
+        # The whole super-step loop runs in C (dd_run) unless something
+        # has to happen between steps in Python; each reason is counted.
+        loop_fallback = None
+        if native_art is not None:
+            if scheduler != "seq":
+                loop_fallback = "scheduler"
+            elif on_step is not None:
+                loop_fallback = "on_step"
+            elif tr.enabled:
+                loop_fallback = "tracer"
+            elif stabilize_fn is not None:
+                loop_fallback = "stabilize"
+        native_loop = native is not None and loop_fallback is None
 
         setup_dt = time.perf_counter() - t0
         if tr.enabled:
@@ -740,6 +824,10 @@ class Program:
             reg.inc("run.setup_seconds", setup_dt)
             reg.gauge("run.workers", workers)
             reg.gauge("run.block_size", block_size)
+            if native_loop:
+                reg.inc("native.loop.runs")
+            elif loop_fallback is not None:
+                reg.inc(f"native.loop.fallback.{loop_fallback}")
 
         steps = 0
         if restore_dirty is not None:
@@ -748,6 +836,13 @@ class Program:
             active_idx = np.arange(total, dtype=np.int64)
         obs_on = tr.enabled or reg.enabled
         try:
+            if native_loop:
+                # runs to completion or max_steps, so the per-step loop
+                # below finds nothing left to do
+                fold = (partial(_fold_native_steps, reg, workers)
+                        if reg.enabled else None)
+                steps, active_idx = native.run_loop(
+                    active_idx, block_size, max_steps, fold)
             while active_idx.size:
                 if max_steps is not None and steps >= max_steps:
                     break
@@ -928,9 +1023,11 @@ class Program:
                 arr = name_to_arr[out]
                 outputs[out] = arr.reshape(tuple(sizes) + arr.shape[1:])
         else:
-            keep = status == STABILIZE
+            # take() over the kept ids: a boolean-mask row select over a
+            # scattered status pattern costs several times as much
+            keep = np.flatnonzero(status == STABILIZE)
             for out in self.high.outputs:
-                outputs[out] = name_to_arr[out][keep]
+                outputs[out] = name_to_arr[out].take(keep, axis=0)
         if tr.enabled:
             tr.complete("run", "run", t0, wall, workers=workers,
                         block_size=block_size, steps=steps, strands=total,

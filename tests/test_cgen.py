@@ -145,6 +145,33 @@ class TestSinglePrecision:
                           block_size=block_size)
             assert_outputs_equal(a, b)
 
+    def test_single_no_fma_contraction(self):
+        # fuzz seed 41 (minimized): x drifts toward 0 and sqrt(|x|) of the
+        # near-zero float sum amplified an FMA-contracted rounding to
+        # 1.7e-5 vs the NumPy float32 run's 1.1e-5, past atol 1e-6.  Float
+        # builds must forbid contraction too.
+        from repro.core.verify.fuzz import differential_check
+
+        src = """
+            image(2)[] img = load("p.nrrd");
+            field#2(2)[] F = img ⊛ bspln3;
+            strand S (int i) {
+                output real x = real(i) * 0.5;
+                output vec2 v = [0.1, real(i)];
+                int n = 0;
+                update {
+                    v = [sqrt(|(x)|), real(i)];
+                    x += (∇F([-2.257, x]))[0];
+                    n += 1;
+                    if (n >= 3) stabilize;
+                }
+            }
+            initially [ S(i) | i in 0 .. 11 ];
+        """
+        assert "-ffp-contract=off" in cbuild.flags_for(True)
+        assert differential_check(src, schedulers=("seq",), backend="c",
+                                  precision="single") is None
+
     def test_single_fuzz_leg(self):
         from repro.core.verify.fuzz import fuzz
 
@@ -218,22 +245,41 @@ def _corrupt(high, mutate):
     mutate(func)
     return SimpleNamespace(
         update_func=func,
+        seed_func=high.seed_func,
+        init_func=high.init_func,
         images=high.images,
         concrete_globals=high.concrete_globals,
         state_order=high.state_order,
         extra_state=high.extra_state,
+        iter_names=high.iter_names,
     )
 
 
-# The batch body is emitted once; a second copy (e.g. a variable-width tail
-# loop) roughly quadruples the C compiler's time on every cold build.
+def _entry_text(c_source, name):
+    """The C text of entry point ``name``, signature to closing brace."""
+    start = c_source.index(f"int {name}(")
+    return c_source[start:c_source.index("\n}\n", start)]
+
+
+# Each batch body is emitted once; a second copy (e.g. a variable-width tail
+# loop, or the update inlined into the super-step loop) roughly quadruples
+# the C compiler's time on every cold build.
 @pytest.mark.parametrize("batch", [None, 1])
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("name", list(ALL))
 def test_batch_body_emitted_once(name, single, batch):
     high = ALL[name].make_program(**PROGRAM_KW[name]).high
     c_source, _ = generate_c_module(high, single=single, batch=batch)
-    assert c_source.count("int64_t _lane[DD_VB];") == 1
+    lane_decl = "int64_t _lane[DD_VB];"
+    # exactly one update body and one strand-creation body in the module
+    assert c_source.count(lane_decl) == 2
+    assert _entry_text(c_source, "dd_update").count(lane_decl) == 1
+    assert _entry_text(c_source, "dd_init").count(lane_decl) == 1
+    # the super-step loop calls the (noinline) update body, no copy of it
+    run = _entry_text(c_source, "dd_run")
+    assert "_lane" not in run
+    assert run.count("dd_update(") == 2  # dense and indexed blocks
+    assert "__attribute__((noinline))\nint dd_update(" in c_source
 
 
 class TestCorruptedLowIR:
